@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <memory>
 
+#include <pthread.h>
+
 #include "util/logging.hh"
 
 namespace lt {
@@ -28,6 +30,18 @@ defaultThreadCount()
 
 std::unique_ptr<ThreadPool> g_pool;
 std::mutex g_pool_mutex;
+
+// A forked child inherits g_pool but none of its worker threads.
+// Joining them (as exit() would, via ~ThreadPool) crashes or hangs,
+// and queued work would never run, so the child abandons the
+// inherited pool; global() builds a fresh one on first use.
+const int g_atfork_registered = pthread_atfork(
+    [] { g_pool_mutex.lock(); },
+    [] { g_pool_mutex.unlock(); },
+    [] {
+        g_pool_mutex.unlock();
+        (void)g_pool.release();
+    });
 
 } // namespace
 

@@ -16,6 +16,11 @@
  * threads actually execute them, and the shard index is passed to the
  * body. Callers that seed randomness per index (counter-based RNG)
  * therefore produce bit-identical results at any thread count.
+ *
+ * Fork contract: a forked child (e.g. a gtest death test) abandons the
+ * global pool it inherited, whose workers did not survive the fork,
+ * and gets a fresh one from ThreadPool::global() on first use. exit()
+ * in the child therefore never joins the parent's threads.
  */
 
 #ifndef LT_UTIL_PARALLEL_HH

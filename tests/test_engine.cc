@@ -24,6 +24,7 @@
 #include "nn/sparse_attention.hh"
 #include "nn/transformer.hh"
 #include "util/linalg.hh"
+#include "util/logging.hh"
 #include "util/parallel.hh"
 #include "util/rng.hh"
 
@@ -814,6 +815,38 @@ TEST(ThreadPool, NestedParallelForRunsInline)
             8, [&](size_t) { total.fetch_add(1); });
     });
     EXPECT_EQ(total.load(), 64u);
+    ThreadPool::setGlobalThreads(0);
+}
+
+/** Sum of [0, n) computed through the global pool over 8 shards. */
+size_t
+poolSum(size_t n)
+{
+    std::vector<size_t> partial(8, 0);
+    ThreadPool::global().parallelFor(
+        n,
+        [&](size_t begin, size_t end, size_t shard) {
+            for (size_t i = begin; i < end; ++i)
+                partial[shard] += i;
+        },
+        partial.size());
+    size_t sum = 0;
+    for (size_t p : partial)
+        sum += p;
+    return sum;
+}
+
+TEST(ThreadPool, ForkedChildUsesFreshPoolAndExitsCleanly)
+{
+    // Death tests fork: the child inherits the parent's started pool
+    // but none of its workers. A parallelFor in the child must still
+    // complete, and lt_fatal's exit(1) must not join the missing
+    // threads -- independent of host core count and test order.
+    ThreadPool::setGlobalThreads(4);
+    ASSERT_EQ(poolSum(1000), 499500u);
+    EXPECT_EXIT({ lt_fatal("child pool sum ", poolSum(1000)); },
+                ::testing::ExitedWithCode(1),
+                "fatal: child pool sum 499500");
     ThreadPool::setGlobalThreads(0);
 }
 
